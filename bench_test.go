@@ -561,6 +561,85 @@ func BenchmarkBufferCacheHit(b *testing.B) {
 	e.RunUntilIdle()
 }
 
+// BenchmarkBufferCacheEvictDirty prices a new block written into a full,
+// all-dirty cache of the kernel's default size, the state mkfs keeps the
+// cache in: every write must flush the least recently used dirty buffer
+// and evict it.
+func BenchmarkBufferCacheEvictDirty(b *testing.B) {
+	const capacity = 2048
+	e := sim.NewEngine(1)
+	defer e.Close()
+	d := disk.New(e, disk.DefaultParams())
+	q := blockio.New(e)
+	drv := driver.New(e, d, q, 0, trace.NewRing(1024))
+	drv.SetLevel(driver.LevelOff)
+	bc := buffercache.New(e, q, capacity)
+	data := make([]byte, buffercache.BlockSize)
+	data[0] = 1
+	write := func(p *sim.Proc, block uint32) bool {
+		if err := bc.WriteBlock(p, block, data, trace.OriginMeta); err != nil {
+			b.Error(err)
+			return false
+		}
+		return true
+	}
+	e.Spawn("fill", func(p *sim.Proc) {
+		for i := uint32(0); i < capacity; i++ {
+			if !write(p, i) {
+				return
+			}
+		}
+	})
+	e.RunUntilIdle()
+	b.ResetTimer()
+	e.Spawn("bench", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			if !write(p, uint32(capacity+i)) {
+				return
+			}
+		}
+	})
+	e.RunUntilIdle()
+	b.StopTimer()
+	if got := bc.DirtyCount(); got != capacity {
+		b.Fatalf("DirtyCount = %d, want a full dirty cache of %d", got, capacity)
+	}
+}
+
+// BenchmarkBootNode prices one node's boot: mkfs into the buffer cache,
+// the standard directory tree and the sync, which every experiment pays
+// once per node before its first application I/O.
+func BenchmarkBootNode(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := sim.NewEngine(1)
+		n := kernel.NewNode(e, kernel.DefaultConfig(0)).Boot()
+		for !n.Booted().IsComplete() {
+			e.Run(e.Now().Add(sim.Second))
+		}
+		if err := n.Booted().Err(); err != nil {
+			b.Fatal(err)
+		}
+		e.Close()
+	}
+}
+
+// BenchmarkSmallPPMNodes runs the small PPM experiment at 1 shard over a
+// node-count curve, the end-to-end anchor for per-node cost: s/node
+// should stay flat as the cluster grows.
+func BenchmarkSmallPPMNodes(b *testing.B) {
+	for _, nodes := range []int{4, 8, 16, 32} {
+		b.Run(fmt.Sprint(nodes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := experiment.Run(experiment.SmallConfig(experiment.PPM, nodes)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*nodes), "s/node")
+		})
+	}
+}
+
 func BenchmarkReplayThroughput(b *testing.B) {
 	// Build a synthetic 1000-request trace once, replay per iteration.
 	var recs []trace.Record

@@ -51,10 +51,18 @@ type buffer struct {
 	dirty  bool
 	busy   bool // I/O in flight
 	gen    uint64
+	stamp  uint64       // recency: raised at creation and on every touch
 	origin trace.Origin // who dirtied this buffer (for write-back tagging)
 	req    uint64       // I/O journey that dirtied this buffer (write-back attribution)
 	elem   *list.Element
 	wq     *sim.WaitQueue
+
+	// Victim-index position: idle is the heap holding the buffer (nil
+	// while busy or after eviction), slot its index there, and key the
+	// stamp it was filed under (at most stamp; see idleHeap).
+	idle *idleHeap
+	slot int
+	key  uint64
 }
 
 // Cache is one node's buffer cache over one block queue.
@@ -64,6 +72,10 @@ type Cache struct {
 	capacity     int
 	blocks       map[uint32]*buffer
 	lru          *list.List // front = most recently used
+	clock        uint64     // last recency stamp issued
+	idleClean    idleHeap   // non-busy clean buffers by recency
+	idleDirty    idleHeap   // non-busy dirty buffers by recency
+	dirty        int        // dirty buffers, busy or not
 	stats        Stats
 	readAhead    int
 	writeThrough bool
@@ -134,20 +146,64 @@ func (c *Cache) ReadAhead() int { return c.readAhead }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // DirtyCount reports how many buffers are dirty.
-func (c *Cache) DirtyCount() int {
-	n := 0
-	for _, b := range c.blocks {
-		if b.dirty {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) DirtyCount() int { return c.dirty }
 
 // Len reports the number of resident buffers.
 func (c *Cache) Len() int { return len(c.blocks) }
 
-func (c *Cache) touch(b *buffer) { c.lru.MoveToFront(b.elem) }
+// touch makes b the most recently used buffer. It only raises b's stamp:
+// the victim index re-files b lazily, when b reaches the top of its heap.
+func (c *Cache) touch(b *buffer) {
+	if b.stamp == c.clock {
+		return // already the most recently used
+	}
+	c.lru.MoveToFront(b.elem)
+	c.clock++
+	b.stamp = c.clock
+}
+
+// setBusy and setDirty are the only writers of b.busy and b.dirty, so the
+// victim index and the dirty count follow every change of either.
+func (c *Cache) setBusy(b *buffer, busy bool) {
+	b.busy = busy
+	c.reindex(b)
+}
+
+func (c *Cache) setDirty(b *buffer, dirty bool) {
+	if b.dirty == dirty {
+		return
+	}
+	b.dirty = dirty
+	if dirty {
+		c.dirty++
+		c.om.dirty.Add(1)
+	} else {
+		c.dirty--
+		c.om.dirty.Add(-1)
+	}
+	c.reindex(b)
+}
+
+// reindex files b in the idle heap its state calls for: none while busy,
+// else the clean or the dirty one.
+func (c *Cache) reindex(b *buffer) {
+	var want *idleHeap
+	if !b.busy {
+		want = &c.idleClean
+		if b.dirty {
+			want = &c.idleDirty
+		}
+	}
+	if b.idle == want {
+		return
+	}
+	if b.idle != nil {
+		b.idle.remove(b)
+	}
+	if want != nil {
+		want.push(b)
+	}
+}
 
 // getOrCreate returns the buffer for block, evicting as needed. The caller
 // decides validity/IO. May sleep (eviction of a dirty buffer flushes it).
@@ -184,9 +240,11 @@ func (c *Cache) getOrCreate(p *sim.Proc, block uint32) (*buffer, error) {
 		}
 		c.evict(victim)
 	}
-	b := &buffer{block: block, data: make([]byte, BlockSize), wq: sim.NewWaitQueue(c.e)}
+	c.clock++
+	b := &buffer{block: block, data: make([]byte, BlockSize), stamp: c.clock, wq: sim.NewWaitQueue(c.e)}
 	b.elem = c.lru.PushFront(b)
 	c.blocks[block] = b
+	c.reindex(b)
 	c.om.resident.Set(int64(len(c.blocks)))
 	return b, nil
 }
@@ -194,20 +252,10 @@ func (c *Cache) getOrCreate(p *sim.Proc, block uint32) (*buffer, error) {
 // findVictim returns the least recently used non-busy buffer, preferring
 // clean ones.
 func (c *Cache) findVictim() *buffer {
-	var dirty *buffer
-	for e := c.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(*buffer)
-		if b.busy {
-			continue
-		}
-		if !b.dirty {
-			return b
-		}
-		if dirty == nil {
-			dirty = b
-		}
+	if b := c.idleClean.least(); b != nil {
+		return b
 	}
-	return dirty
+	return c.idleDirty.least()
 }
 
 var EvictDebug func(block uint32)
@@ -220,6 +268,9 @@ func (c *Cache) evict(b *buffer) {
 		EvictDebug(b.block)
 	}
 	c.lru.Remove(b.elem)
+	if b.idle != nil {
+		b.idle.remove(b)
+	}
 	if cur, ok := c.blocks[b.block]; ok && cur == b {
 		delete(c.blocks, b.block)
 	}
@@ -231,7 +282,7 @@ func (c *Cache) evict(b *buffer) {
 // flushBuffer synchronously writes one dirty buffer.
 func (c *Cache) flushBuffer(p *sim.Proc, b *buffer) error {
 	gen := b.gen
-	b.busy = true
+	c.setBusy(b, true)
 	origin := b.origin
 	if origin == trace.OriginUnknown {
 		origin = trace.OriginMeta
@@ -239,20 +290,19 @@ func (c *Cache) flushBuffer(p *sim.Proc, b *buffer) error {
 	req, start := b.req, c.e.Now()
 	done, err := c.q.SubmitReq(b.block*SectorsPerBlock, b.data, true, origin, req)
 	if err != nil {
-		b.busy = false
+		c.setBusy(b, false)
 		return err
 	}
 	c.stats.Writebacks++
 	c.om.writebacks.Inc()
 	werr := done.Wait(p)
-	b.busy = false
 	if werr == nil && c.journal.Enabled() {
 		c.journal.Add(c.e.Now(), c.e.Now().Sub(start), iotrace.StageWriteback, req, int64(b.block))
 	}
 	if werr == nil && b.gen == gen {
-		b.dirty = false
-		c.om.dirty.Add(-1)
+		c.setDirty(b, false)
 	}
+	c.setBusy(b, false)
 	b.wq.WakeAll()
 	return werr
 }
@@ -285,16 +335,16 @@ func (c *Cache) ReadBlock(p *sim.Proc, block uint32, origin trace.Origin) ([]byt
 		}
 		c.stats.Misses++
 		c.om.misses.Inc()
-		b.busy = true
+		c.setBusy(b, true)
 		start := c.e.Now()
 		done, err := c.q.SubmitReq(block*SectorsPerBlock, b.data, false, origin, p.IOTag())
 		if err != nil {
-			b.busy = false
+			c.setBusy(b, false)
 			b.wq.WakeAll()
 			return nil, err
 		}
 		rerr := done.Wait(p)
-		b.busy = false
+		c.setBusy(b, false)
 		b.valid = rerr == nil
 		b.wq.WakeAll()
 		if rerr != nil {
@@ -324,18 +374,18 @@ func (c *Cache) Prefetch(p *sim.Proc, blocks []uint32, origin trace.Origin) erro
 		if b.valid || b.busy {
 			continue
 		}
-		b.busy = true
+		c.setBusy(b, true)
 		req, start := p.IOTag(), c.e.Now()
 		done, err := c.q.SubmitReq(blk*SectorsPerBlock, b.data, false, origin, req)
 		if err != nil {
-			b.busy = false
+			c.setBusy(b, false)
 			return err
 		}
 		c.stats.Prefetches++
 		c.om.prefetches.Inc()
 		bb := b
 		done.OnComplete(func(ioErr error) {
-			bb.busy = false
+			c.setBusy(bb, false)
 			bb.valid = ioErr == nil
 			if ioErr == nil && c.journal.Enabled() {
 				c.journal.Add(c.e.Now(), c.e.Now().Sub(start), iotrace.StageCacheMiss, req, int64(bb.block))
@@ -368,10 +418,7 @@ func (c *Cache) WriteBlock(p *sim.Proc, block uint32, data []byte, origin trace.
 		}
 		copy(b.data, data)
 		b.valid = true
-		if !b.dirty {
-			b.dirty = true
-			c.om.dirty.Add(1)
-		}
+		c.setDirty(b, true)
 		b.gen++
 		b.origin = origin
 		b.req = p.IOTag()
@@ -388,22 +435,21 @@ func (c *Cache) maybeWriteThrough(b *buffer) {
 		return
 	}
 	gen := b.gen
-	b.busy = true
+	c.setBusy(b, true)
 	req, start := b.req, c.e.Now()
 	done, err := c.q.SubmitReq(b.block*SectorsPerBlock, b.data, true, b.origin, req)
 	if err != nil {
-		b.busy = false
+		c.setBusy(b, false)
 		return
 	}
 	c.stats.Writebacks++
 	c.om.writebacks.Inc()
 	bb := b
 	done.OnComplete(func(ioErr error) {
-		bb.busy = false
 		if ioErr == nil && bb.gen == gen {
-			bb.dirty = false
-			c.om.dirty.Add(-1)
+			c.setDirty(bb, false)
 		}
+		c.setBusy(bb, false)
 		if ioErr == nil && c.journal.Enabled() {
 			c.journal.Add(c.e.Now(), c.e.Now().Sub(start), iotrace.StageWriteback, req, int64(bb.block))
 		}
@@ -425,10 +471,7 @@ func (c *Cache) UpdateBlock(p *sim.Proc, block uint32, origin trace.Origin, fn f
 		panic(fmt.Sprintf("buffercache: block %d vanished after ReadBlock", block))
 	}
 	fn(data)
-	if !b.dirty {
-		b.dirty = true
-		c.om.dirty.Add(1)
-	}
+	c.setDirty(b, true)
 	b.gen++
 	b.origin = origin
 	b.req = p.IOTag()
@@ -448,7 +491,7 @@ func (c *Cache) WritebackAll(origin trace.Origin) int {
 			continue
 		}
 		gen := b.gen
-		b.busy = true
+		c.setBusy(b, true)
 		worigin := b.origin
 		if worigin == trace.OriginUnknown {
 			worigin = origin
@@ -456,7 +499,7 @@ func (c *Cache) WritebackAll(origin trace.Origin) int {
 		req, start := b.req, c.e.Now()
 		done, err := c.q.SubmitReq(b.block*SectorsPerBlock, b.data, true, worigin, req)
 		if err != nil {
-			b.busy = false
+			c.setBusy(b, false)
 			continue
 		}
 		c.stats.Writebacks++
@@ -464,11 +507,10 @@ func (c *Cache) WritebackAll(origin trace.Origin) int {
 		n++
 		bb := b
 		done.OnComplete(func(ioErr error) {
-			bb.busy = false
 			if ioErr == nil && bb.gen == gen {
-				bb.dirty = false
-				c.om.dirty.Add(-1)
+				c.setDirty(bb, false)
 			}
+			c.setBusy(bb, false)
 			if ioErr == nil && c.journal.Enabled() {
 				c.journal.Add(c.e.Now(), c.e.Now().Sub(start), iotrace.StageWriteback, req, int64(bb.block))
 			}
@@ -482,14 +524,7 @@ func (c *Cache) WritebackAll(origin trace.Origin) int {
 // path).
 func (c *Cache) Sync(p *sim.Proc) error {
 	for {
-		var victim *buffer
-		for e := c.lru.Back(); e != nil; e = e.Prev() {
-			b := e.Value.(*buffer)
-			if b.dirty && !b.busy {
-				victim = b
-				break
-			}
-		}
+		victim := c.idleDirty.least()
 		if victim == nil {
 			// Wait out any in-flight writebacks.
 			busy := false
@@ -544,4 +579,82 @@ func (c *Cache) Invalidate(block uint32) bool {
 	}
 	c.evict(b)
 	return true
+}
+
+// idleHeap is a binary min-heap of idle buffers ordered by key, the
+// stamp a buffer had when it was last filed. touch raises a stamp without
+// re-filing, so a key is never above its buffer's stamp; least re-files a
+// stale root until the root's key is current, and that root then has the
+// lowest stamp in the heap. A cache hit thus costs O(1), and each touch at
+// most one O(log n) re-filing later.
+type idleHeap []*buffer
+
+func (h *idleHeap) push(b *buffer) {
+	b.idle, b.key, b.slot = h, b.stamp, len(*h)
+	*h = append(*h, b)
+	h.up(b.slot)
+}
+
+func (h *idleHeap) remove(b *buffer) {
+	s, i := *h, b.slot
+	last := len(s) - 1
+	s[i] = s[last]
+	s[i].slot = i
+	s[last] = nil
+	*h = s[:last]
+	if i < last && !h.down(i) {
+		h.up(i)
+	}
+	b.idle = nil
+}
+
+// least returns the least recently used buffer in the heap, or nil.
+func (h *idleHeap) least() *buffer {
+	for len(*h) > 0 {
+		b := (*h)[0]
+		if b.key == b.stamp {
+			return b
+		}
+		b.key = b.stamp
+		h.down(0)
+	}
+	return nil
+}
+
+func (h idleHeap) up(i int) {
+	b := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent].key <= b.key {
+			break
+		}
+		h[i] = h[parent]
+		h[i].slot = i
+		i = parent
+	}
+	h[i] = b
+	b.slot = i
+}
+
+// down sifts h[i] towards the leaves, reporting whether it moved.
+func (h idleHeap) down(i int) bool {
+	b, start := h[i], i
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r].key < h[child].key {
+			child = r
+		}
+		if b.key <= h[child].key {
+			break
+		}
+		h[i] = h[child]
+		h[i].slot = i
+		i = child
+	}
+	h[i] = b
+	b.slot = i
+	return i > start
 }

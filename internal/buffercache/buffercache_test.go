@@ -2,6 +2,7 @@ package buffercache
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -458,5 +459,259 @@ func TestWriteThroughHitsDiskImmediately(t *testing.T) {
 	}
 	if out[0] != 0x44 {
 		t.Fatal("write-through data not on disk")
+	}
+}
+
+// scanVictim is the linear LRU scan findVictim did before the victim
+// index, kept as its oracle: the least recently used non-busy buffer,
+// preferring clean ones.
+func scanVictim(c *Cache) *buffer {
+	var dirty *buffer
+	for e := c.lru.Back(); e != nil; e = e.Prev() {
+		b := e.Value.(*buffer)
+		if b.busy {
+			continue
+		}
+		if !b.dirty {
+			return b
+		}
+		if dirty == nil {
+			dirty = b
+		}
+	}
+	return dirty
+}
+
+// scanSyncVictim is the scan Sync did for its next buffer to flush: the
+// least recently used non-busy dirty buffer.
+func scanSyncVictim(c *Cache) *buffer {
+	for e := c.lru.Back(); e != nil; e = e.Prev() {
+		if b := e.Value.(*buffer); b.dirty && !b.busy {
+			return b
+		}
+	}
+	return nil
+}
+
+// checkIndex compares the victim index against the oracle scans and
+// checks its bookkeeping: every resident idle buffer is filed exactly
+// once, in the heap for its clean/dirty state, busy buffers are filed
+// nowhere, both heaps are ordered, and DirtyCount equals a walk of the
+// block map.
+func checkIndex(c *Cache) error {
+	if got, want := c.findVictim(), scanVictim(c); got != want {
+		return fmt.Errorf("findVictim = %v, scan picks %v", blockOf(got), blockOf(want))
+	}
+	if got, want := c.idleDirty.least(), scanSyncVictim(c); got != want {
+		return fmt.Errorf("sync victim = %v, scan picks %v", blockOf(got), blockOf(want))
+	}
+	if c.lru.Len() != len(c.blocks) {
+		return fmt.Errorf("lru holds %d buffers, block map %d", c.lru.Len(), len(c.blocks))
+	}
+	filed := map[*idleHeap]int{}
+	var prev uint64
+	for e := c.lru.Back(); e != nil; e = e.Prev() {
+		b := e.Value.(*buffer)
+		if c.blocks[b.block] != b {
+			return fmt.Errorf("block %d: lru buffer is not the resident one", b.block)
+		}
+		if b.stamp <= prev {
+			return fmt.Errorf("block %d: stamp %d not above the next older buffer's %d", b.block, b.stamp, prev)
+		}
+		prev = b.stamp
+		var want *idleHeap
+		if !b.busy {
+			want = &c.idleClean
+			if b.dirty {
+				want = &c.idleDirty
+			}
+		}
+		if b.idle != want {
+			return fmt.Errorf("block %d (busy=%v dirty=%v) filed in the wrong heap", b.block, b.busy, b.dirty)
+		}
+		if want == nil {
+			continue
+		}
+		if b.slot >= len(*want) || (*want)[b.slot] != b {
+			return fmt.Errorf("block %d: slot %d does not hold it", b.block, b.slot)
+		}
+		if b.key > b.stamp {
+			return fmt.Errorf("block %d: key %d above stamp %d", b.block, b.key, b.stamp)
+		}
+		filed[want]++
+	}
+	for _, h := range []*idleHeap{&c.idleClean, &c.idleDirty} {
+		if len(*h) != filed[h] {
+			return fmt.Errorf("heap holds %d buffers, %d resident buffers filed there", len(*h), filed[h])
+		}
+		for i := 1; i < len(*h); i++ {
+			if (*h)[(i-1)/2].key > (*h)[i].key {
+				return fmt.Errorf("heap order broken at slot %d", i)
+			}
+		}
+	}
+	dirty := 0
+	for _, b := range c.blocks {
+		if b.dirty {
+			dirty++
+		}
+	}
+	if c.DirtyCount() != dirty {
+		return fmt.Errorf("DirtyCount = %d, block map holds %d dirty", c.DirtyCount(), dirty)
+	}
+	return nil
+}
+
+func blockOf(b *buffer) any {
+	if b == nil {
+		return nil
+	}
+	return b.block
+}
+
+// monitor spawns a process that runs checkIndex every 100 µs of virtual
+// time, so completions that land between the workers' steps are checked
+// too, until *live drops to zero. The first failure is stored in *failed.
+func monitor(e *sim.Engine, c *Cache, live *int, failed *error) {
+	e.Spawn("monitor", func(p *sim.Proc) {
+		for *live > 0 && *failed == nil {
+			if err := checkIndex(c); err != nil {
+				*failed = fmt.Errorf("at %v: %w", e.Now(), err)
+			}
+			p.Sleep(100 * sim.Microsecond)
+		}
+	})
+}
+
+// TestVictimIndexMatchesScan drives seeded random mixes of every cache
+// operation from three processes, with I/O completions and injected
+// media errors landing in between, and checks the victim index against
+// the oracle scans after every step.
+func TestVictimIndexMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		e := sim.NewEngine(seed)
+		d := disk.New(e, disk.DefaultParams())
+		q := blockio.New(e)
+		drv := driver.New(e, d, q, 0, trace.NewRing(1<<16))
+		drv.SetLevel(driver.LevelOff)
+		c := New(e, q, 12)
+		rng := rand.New(rand.NewSource(seed))
+		var failed error
+		live := 3
+		step := func(p *sim.Proc, i int) {
+			blk := uint32(rng.Intn(40))
+			data := make([]byte, BlockSize)
+			data[0] = byte(i)
+			switch rng.Intn(12) {
+			case 0, 1, 2:
+				_, _ = c.ReadBlock(p, blk, trace.OriginData)
+			case 3, 4:
+				_ = c.WriteBlock(p, blk, data, trace.OriginData)
+			case 5:
+				_ = c.UpdateBlock(p, blk, trace.OriginMeta, func(b []byte) { b[1]++ })
+			case 6:
+				run := []uint32{blk, blk + 1, blk + 2, blk + 3}
+				_ = c.Prefetch(p, run[:1+rng.Intn(4)], trace.OriginData)
+			case 7:
+				c.WritebackAll(trace.OriginMeta)
+			case 8:
+				c.SetWriteThrough(rng.Intn(4) == 0)
+			case 9:
+				_ = c.Sync(p)
+			case 10:
+				if rng.Intn(2) == 0 {
+					c.Invalidate(blk)
+				} else {
+					c.InvalidateClean()
+				}
+			case 11:
+				// Media errors exercise the failed read, prefetch and
+				// write-back paths; clearing them lets flushes succeed.
+				if rng.Intn(3) == 0 {
+					d.MarkBad(blk*SectorsPerBlock, SectorsPerBlock)
+				} else {
+					d.ClearBad()
+				}
+			}
+		}
+		for w := 0; w < live; w++ {
+			e.Spawn("worker", func(p *sim.Proc) {
+				defer func() { live-- }()
+				for i := 0; i < 400 && failed == nil; i++ {
+					step(p, i)
+					if err := checkIndex(c); err != nil {
+						failed = fmt.Errorf("step %d: %w", i, err)
+						return
+					}
+					if rng.Intn(3) == 0 {
+						p.Sleep(sim.Duration(rng.Intn(20_000)) * sim.Microsecond)
+					}
+				}
+			})
+		}
+		monitor(e, c, &live, &failed)
+		e.RunUntilIdle()
+		if failed == nil {
+			failed = checkIndex(c)
+		}
+		e.Close()
+		if failed != nil {
+			t.Fatalf("seed %d: %v", seed, failed)
+		}
+		if live != 0 {
+			t.Fatalf("seed %d: %d workers never finished", seed, live)
+		}
+	}
+}
+
+// TestVictimIndexFullDirtyCache is the mkfs shape: a full cache of dirty
+// buffers takes a stream of new blocks while a few hot bitmap-like blocks
+// are updated in between, so every new block flushes and evicts the least
+// recently used dirty buffer, and a final Sync drains the dirty heap.
+func TestVictimIndexFullDirtyCache(t *testing.T) {
+	const capacity = 64
+	r := newRig(t, capacity)
+	var failed error
+	live := 1
+	monitor(r.e, r.cache, &live, &failed)
+	r.run(t, func(p *sim.Proc) {
+		defer func() { live-- }()
+		data := bytes.Repeat([]byte{0x5A}, BlockSize)
+		for blk := uint32(0); blk < 400 && failed == nil; blk++ {
+			if err := r.cache.WriteBlock(p, blk, data, trace.OriginMeta); err != nil {
+				failed = err
+				return
+			}
+			if blk%5 == 0 {
+				hot := 10_000 + blk%3
+				if err := r.cache.UpdateBlock(p, hot, trace.OriginMeta, func(b []byte) { b[blk%BlockSize]++ }); err != nil {
+					failed = err
+					return
+				}
+			}
+			if blk >= capacity && r.cache.DirtyCount() != r.cache.Len() {
+				failed = fmt.Errorf("block %d: %d of %d buffers dirty, want all", blk, r.cache.DirtyCount(), r.cache.Len())
+				return
+			}
+			if err := checkIndex(r.cache); err != nil {
+				failed = fmt.Errorf("block %d: %w", blk, err)
+				return
+			}
+		}
+		if failed == nil {
+			failed = r.cache.Sync(p)
+		}
+	})
+	if failed == nil {
+		failed = checkIndex(r.cache)
+	}
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if r.cache.DirtyCount() != 0 || len(r.cache.idleClean) != capacity {
+		t.Fatalf("after Sync: %d dirty, %d idle clean; want 0 and %d", r.cache.DirtyCount(), len(r.cache.idleClean), capacity)
+	}
+	if s := r.cache.Stats(); s.Evictions < 400-capacity {
+		t.Fatalf("%d evictions, want at least %d", s.Evictions, 400-capacity)
 	}
 }

@@ -10,6 +10,7 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -73,12 +74,13 @@ type Stats struct {
 // Disk is one simulated drive. Timing and data are separate concerns: the
 // driver asks for a service time and schedules completion itself, while
 // ReadAt/WriteAt move bytes instantaneously. Sector contents are stored
-// sparsely; never-written sectors read as zeros.
+// sparsely: only sectors holding nonzero data are kept, and every other
+// sector reads as zeros.
 type Disk struct {
 	e       *sim.Engine
 	p       Params
 	headCyl int
-	data    map[uint32][]byte // sector -> 512-byte content
+	data    map[uint32][]byte // sector -> 512-byte content, never all zeros
 	bad     []badRange
 	stats   Stats
 	om      diskMetrics
@@ -288,7 +290,13 @@ func (d *Disk) ReadAt(sector uint32, buf []byte) error {
 	return nil
 }
 
-// WriteAt stores buf at the given sector; buf must be sector-aligned.
+// zeroSector is the content every unstored sector reads as.
+var zeroSector [SectorSize]byte
+
+// WriteAt stores buf at the given sector; buf must be sector-aligned. An
+// all-zero sector is not stored (and drops what the sector held), since
+// ReadAt fills unstored sectors with zeros: mkfs zeroing inode tables then
+// costs no memory.
 func (d *Disk) WriteAt(sector uint32, buf []byte) error {
 	if len(buf)%SectorSize != 0 {
 		return fmt.Errorf("disk: write buffer %d not sector-aligned", len(buf))
@@ -298,18 +306,23 @@ func (d *Disk) WriteAt(sector uint32, buf []byte) error {
 		return fmt.Errorf("disk: write [%d,+%d) beyond capacity", sector, n)
 	}
 	for i := uint32(0); i < n; i++ {
+		src := buf[i*SectorSize : (i+1)*SectorSize]
+		if bytes.Equal(src, zeroSector[:]) {
+			delete(d.data, sector+i)
+			continue
+		}
 		s, ok := d.data[sector+i]
 		if !ok {
 			s = make([]byte, SectorSize)
 			d.data[sector+i] = s
 		}
-		copy(s, buf[i*SectorSize:(i+1)*SectorSize])
+		copy(s, src)
 	}
 	return nil
 }
 
-// StoredSectors reports how many distinct sectors hold written data (used by
-// tests and capacity accounting).
+// StoredSectors reports how many sectors hold nonzero data (used by tests
+// and capacity accounting).
 func (d *Disk) StoredSectors() int { return len(d.data) }
 
 func abs(x int) int {

@@ -173,6 +173,54 @@ func TestPartialOverwrite(t *testing.T) {
 	}
 }
 
+func TestZeroOverwriteDropsStoredSector(t *testing.T) {
+	_, d := newDisk(t)
+	if err := d.WriteAt(40, bytes.Repeat([]byte{0x5C}, 2*SectorSize)); err != nil {
+		t.Fatal(err)
+	}
+	if d.StoredSectors() != 2 {
+		t.Fatalf("StoredSectors = %d after a nonzero write, want 2", d.StoredSectors())
+	}
+	if err := d.WriteAt(41, make([]byte, SectorSize)); err != nil {
+		t.Fatal(err)
+	}
+	if d.StoredSectors() != 1 {
+		t.Fatalf("StoredSectors = %d after zeroing one sector, want 1", d.StoredSectors())
+	}
+	out := make([]byte, 2*SectorSize)
+	if err := d.ReadAt(40, out); err != nil {
+		t.Fatal(err)
+	}
+	want := append(bytes.Repeat([]byte{0x5C}, SectorSize), make([]byte, SectorSize)...)
+	if !bytes.Equal(out, want) {
+		t.Fatal("zeroed sector does not read back as zeros next to its untouched neighbor")
+	}
+}
+
+func TestMixedWriteStoresOnlyNonzeroSectors(t *testing.T) {
+	_, d := newDisk(t)
+	// Sectors 0 and 2 zero, 1 and 3 nonzero; one byte of sector 3 is
+	// enough to keep it.
+	in := make([]byte, 4*SectorSize)
+	for i := SectorSize; i < 2*SectorSize; i++ {
+		in[i] = byte(i)
+	}
+	in[4*SectorSize-1] = 0xFF
+	if err := d.WriteAt(900, in); err != nil {
+		t.Fatal(err)
+	}
+	if d.StoredSectors() != 2 {
+		t.Fatalf("StoredSectors = %d, want 2 (only the nonzero sectors)", d.StoredSectors())
+	}
+	out := bytes.Repeat([]byte{0xEE}, len(in))
+	if err := d.ReadAt(900, out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, in) {
+		t.Fatal("mixed zero/nonzero write does not read back unchanged")
+	}
+}
+
 func TestUnalignedBuffersRejected(t *testing.T) {
 	_, d := newDisk(t)
 	if err := d.ReadAt(0, make([]byte, 100)); err == nil {

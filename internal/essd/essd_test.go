@@ -145,6 +145,61 @@ func TestIngestMatchesBatchCharacterization(t *testing.T) {
 	}
 }
 
+// TestIngestLargeUploadHTTP1 posts more records than one progress
+// interval over HTTP/1.1, with a Content-Length and chunked. The handler
+// flushes a progress event while the upload is still arriving; without
+// full duplex, net/http then discards an unread rest of the body under
+// 256 KiB, so the stream ends short or in an error event. 8,000 records
+// past the first progress event leave about 128 KiB unread beyond the
+// decoder's 64 KiB buffer.
+func TestIngestLargeUploadHTTP1(t *testing.T) {
+	recs := testRecords(defaultProgressEvery + 8000)
+	body := encodeBinary(t, recs)
+	ts := httptest.NewServer(NewServer(Config{}))
+	defer ts.Close()
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+	}{
+		{"content-length", bytes.NewReader(body)},
+		// MultiReader hides the length, so the client sends chunks.
+		{"chunked", io.MultiReader(bytes.NewReader(body))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := ts.Client().Post(ts.URL+"/v1/traces", "application/octet-stream", tc.body)
+			if err != nil {
+				t.Fatalf("post: %v", err)
+			}
+			defer resp.Body.Close()
+			if resp.ProtoMajor != 1 {
+				t.Fatalf("served over %s, want HTTP/1.x", resp.Proto)
+			}
+			var events []ingestEvent
+			dec := json.NewDecoder(resp.Body)
+			for {
+				var ev ingestEvent
+				if err := dec.Decode(&ev); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatalf("decode event: %v", err)
+				}
+				events = append(events, ev)
+			}
+			if len(events) != 2 || events[0].Event != "progress" {
+				t.Fatalf("got events %+v, want one progress event, then done", events)
+			}
+			done := events[1]
+			if done.Event != "done" || done.Records != len(recs) {
+				t.Fatalf("final event %q with %d records (error %q), want done with %d",
+					done.Event, done.Records, done.Error, len(recs))
+			}
+			if want := HashRecords(recs); done.Hash != want {
+				t.Errorf("hash %s, want %s", done.Hash, want)
+			}
+		})
+	}
+}
+
 func TestIngestEmptyTrace(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{}))
 	defer ts.Close()
@@ -450,19 +505,28 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // pipe and requires concurrent uploads (trace and model alike — they
 // share the semaphore) to bounce with 429.
 func TestIngestAdmissionControl(t *testing.T) {
-	ts := httptest.NewServer(NewServer(Config{MaxIngest: 1}))
+	srv := NewServer(Config{MaxIngest: 1})
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	pr, pw := io.Pipe()
+	defer pw.Close() // runs before ts.Close, so a failed test cannot hang it
 	firstDone := make(chan ingestEvent, 1)
 	go func() {
 		firstDone <- lastEvent(t, ts.Client(), ts.URL+"/v1/traces", pr)
 	}()
 
-	// The slot is held once the handler is reading the pipe; until then
-	// rivals may still sneak in, so poll for the first 429.
-	recs := encodeBinary(t, testRecords(8))
+	// Rivals start only once the upload holds the one slot. A rival sent
+	// earlier can take the slot first; the upload is then the request
+	// turned away, and the server blocks draining its never-ending body.
 	deadline := time.Now().Add(5 * time.Second)
+	for len(srv.ingestSem) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the upload never claimed the ingest slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	recs := encodeBinary(t, testRecords(8))
 	for {
 		resp, err := ts.Client().Post(ts.URL+"/v1/models", "application/octet-stream",
 			bytes.NewReader(recs))

@@ -68,6 +68,11 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	// Progress events go out while the upload is still arriving. Over
+	// HTTP/1.x, net/http would otherwise consume and close the unread
+	// body at the first flush. HTTP/2 streams are full duplex already;
+	// there the call may report ErrNotSupported, which is harmless.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	emit := func(ev ingestEvent) {

@@ -26,7 +26,7 @@ echo "gating on go vet + essvet" >&2
 go vet ./... || { echo "benchjson.sh: go vet failed, not benching" >&2; exit 1; }
 go run ./cmd/essvet ./... || { echo "benchjson.sh: essvet failed, not benching" >&2; exit 1; }
 
-micro='DiskService|ElevatorSubmit|TraceMarshal|EngineEvents|EngineStep|MergeBatch|MergeStreaming|MergeHeap|MergeLoserTree|CharacterizeParallel|CharacterizeStreaming|CharacterizeColumnar|CharacterizeObs|CharacterizeTrace|ColWrite|ColRead|ColMmap|BufferCacheHit|EthernetTransfer|PVMBarrier16|WaveletTransform512|PPMStep240x480|NBodyStep8K'
+micro='DiskService|ElevatorSubmit|TraceMarshal|EngineEvents|EngineStep|MergeBatch|MergeStreaming|MergeHeap|MergeLoserTree|CharacterizeParallel|CharacterizeStreaming|CharacterizeColumnar|CharacterizeObs|CharacterizeTrace|ColWrite|ColRead|ColMmap|BufferCacheHit|BufferCacheEvictDirty|BootNode|EthernetTransfer|PVMBarrier16|WaveletTransform512|PPMStep240x480|NBodyStep8K'
 slow='E1Sharded'
 pattern=${1:-"$micro|$slow"}
 out=${2:-}
