@@ -425,6 +425,7 @@ func BenchmarkWaveletTransform512(b *testing.B) {
 func BenchmarkPPMStep240x480(b *testing.B) {
 	g := ppm.NewGrid(240, 480)
 	g.InitBlast(0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Step(g.CFL(0.4))

@@ -27,6 +27,10 @@ type Grid struct {
 	MX     []float32
 	MY     []float32
 	E      []float32
+
+	// sx and sy are the X and Y sweeps' strips, made on first use and
+	// reused by every later sweep, so a warm Step allocates nothing.
+	sx, sy *state
 }
 
 // NewGrid allocates a grid.
@@ -169,32 +173,55 @@ func pressure(rho, mx, my, e float64) float64 {
 	return (Gamma - 1) * (e - 0.5*(mx*mx+my*my)/rho)
 }
 
-// state is a 1-D strip of conserved variables used by the sweeps.
+// state is a 1-D strip of conserved variables used by the sweeps, with
+// the scratch sweep1D works in.
 type state struct {
-	rho, mu, mv, e []float64 // mu = momentum along the sweep, mv transverse
+	rho, mu, mv, e   []float64 // mu = momentum along the sweep, mv transverse
+	pad              []float64 // one variable with ghost cells (see padPeriodic)
+	faceL, faceR     [4][]float64
+	fr, fmu, fmv, fe []float64 // flux through the right face of each cell
 }
 
 func newState(n int) *state {
+	f := func() []float64 { return make([]float64, n) }
 	return &state{
-		rho: make([]float64, n), mu: make([]float64, n),
-		mv: make([]float64, n), e: make([]float64, n),
+		rho: f(), mu: f(), mv: f(), e: f(),
+		fr: f(), fmu: f(), fmv: f(), fe: f(),
+		pad:   make([]float64, n+3),
+		faceL: [4][]float64{f(), f(), f(), f()},
+		faceR: [4][]float64{f(), f(), f(), f()},
 	}
 }
 
-// ppmFaces computes limited parabolic interface values for one variable:
-// left and right face values per cell (periodic).
-func ppmFaces(a, aL, aR []float64) {
+// padPeriodic copies the n cells of a into p[1:n+1] and fills the periodic
+// ghost cells around them, so p[k] = a[(k-1) mod n] for k in [0, n+3):
+// the one cell before and the two after that ppmFaces' stencil reads.
+func padPeriodic(p, a []float64) {
 	n := len(a)
-	at := func(i int) float64 { return a[((i%n)+n)%n] }
-	// Fourth-order interface interpolation.
+	copy(p[1:], a)
+	p[0] = a[n-1]
+	p[n+1] = a[0]
+	p[n+2] = a[1%n]
+}
+
+// ppmFaces computes limited parabolic interface values for one variable:
+// left and right face values per cell (periodic). p is the variable padded
+// by padPeriodic; aL and aR receive one value per cell.
+func ppmFaces(p, aL, aR []float64) {
+	n := len(aL)
+	// Fourth-order interface interpolation; cell i is p[i+1].
 	for i := 0; i < n; i++ {
-		face := (7.0/12.0)*(at(i)+at(i+1)) - (1.0/12.0)*(at(i-1)+at(i+2))
-		aR[i] = face       // right face of cell i
-		aL[(i+1)%n] = face // left face of cell i+1
+		face := (7.0/12.0)*(p[i+1]+p[i+2]) - (1.0/12.0)*(p[i]+p[i+3])
+		aR[i] = face // right face of cell i
+		j := i + 1
+		if j == n {
+			j = 0
+		}
+		aL[j] = face // left face of cell i+1
 	}
 	// PPM monotonicity limiting (Colella & Woodward 1984, eq. 1.10).
 	for i := 0; i < n; i++ {
-		ai := a[i]
+		ai := p[i+1]
 		l, r := aL[i], aR[i]
 		if (r-ai)*(ai-l) <= 0 {
 			l, r = ai, ai // local extremum: flatten
@@ -248,22 +275,19 @@ func hll(rL, muL, mvL, eL, rR, muR, mvR, eR float64) (fr, fmu, fmv, fe float64) 
 func sweep1D(s *state, dtdx float64) {
 	n := len(s.rho)
 	// Reconstruct each variable.
-	vars := [][]float64{s.rho, s.mu, s.mv, s.e}
-	faceL := make([][]float64, 4)
-	faceR := make([][]float64, 4)
-	for v := 0; v < 4; v++ {
-		faceL[v] = make([]float64, n)
-		faceR[v] = make([]float64, n)
-		ppmFaces(vars[v], faceL[v], faceR[v])
+	for v, a := range [4][]float64{s.rho, s.mu, s.mv, s.e} {
+		padPeriodic(s.pad, a)
+		ppmFaces(s.pad, s.faceL[v], s.faceR[v])
 	}
 	// Interface fluxes: between cell i and i+1 use cell i's right face
 	// and cell i+1's left face.
-	fr := make([]float64, n)
-	fmu := make([]float64, n)
-	fmv := make([]float64, n)
-	fe := make([]float64, n)
+	faceL, faceR := &s.faceL, &s.faceR
+	fr, fmu, fmv, fe := s.fr, s.fmu, s.fmv, s.fe
 	for i := 0; i < n; i++ {
-		j := (i + 1) % n
+		j := i + 1
+		if j == n {
+			j = 0
+		}
 		rL := math.Max(faceR[0][i], 1e-12)
 		rR := math.Max(faceL[0][j], 1e-12)
 		fr[i], fmu[i], fmv[i], fe[i] = hll(
@@ -273,7 +297,10 @@ func sweep1D(s *state, dtdx float64) {
 	}
 	// Conservative update.
 	for i := 0; i < n; i++ {
-		im := (i - 1 + n) % n
+		im := i - 1
+		if im < 0 {
+			im = n - 1
+		}
 		s.rho[i] -= dtdx * (fr[i] - fr[im])
 		s.mu[i] -= dtdx * (fmu[i] - fmu[im])
 		s.mv[i] -= dtdx * (fmv[i] - fmv[im])
@@ -284,7 +311,10 @@ func sweep1D(s *state, dtdx float64) {
 // SweepX advances every row by dt.
 func (g *Grid) SweepX(dt float64) {
 	dx := 1.0 / float64(g.NX)
-	s := newState(g.NX)
+	if g.sx == nil {
+		g.sx = newState(g.NX)
+	}
+	s := g.sx
 	for y := 0; y < g.NY; y++ {
 		base := y * g.NX
 		for x := 0; x < g.NX; x++ {
@@ -306,7 +336,10 @@ func (g *Grid) SweepX(dt float64) {
 // SweepY advances every column by dt.
 func (g *Grid) SweepY(dt float64) {
 	dy := 1.0 / float64(g.NY)
-	s := newState(g.NY)
+	if g.sy == nil {
+		g.sy = newState(g.NY)
+	}
+	s := g.sy
 	for x := 0; x < g.NX; x++ {
 		for y := 0; y < g.NY; y++ {
 			i := g.idx(x, y)

@@ -1,7 +1,9 @@
 package ppm
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -115,7 +117,9 @@ func TestPPMFacesLimiting(t *testing.T) {
 	}
 	aL := make([]float64, n)
 	aR := make([]float64, n)
-	ppmFaces(a, aL, aR)
+	p := make([]float64, n+3)
+	padPeriodic(p, a)
+	ppmFaces(p, aL, aR)
 	for i := 2; i < n-2; i++ {
 		lo := math.Min(a[i-1], math.Min(a[i], a[i+1]))
 		hi := math.Max(a[i-1], math.Max(a[i], a[i+1]))
@@ -129,7 +133,8 @@ func TestPPMFacesLimiting(t *testing.T) {
 		b[i] = 1
 	}
 	b[10] = 5
-	ppmFaces(b, aL, aR)
+	padPeriodic(p, b)
+	ppmFaces(p, aL, aR)
 	if aL[10] != b[10] || aR[10] != b[10] {
 		t.Fatalf("extremum not flattened: %v %v", aL[10], aR[10])
 	}
@@ -197,5 +202,173 @@ func TestCheckpointFormat(t *testing.T) {
 	s := g.Checkpoint(3)
 	if len(s) == 0 || s[len(s)-1] != '\n' {
 		t.Fatalf("checkpoint = %q", s)
+	}
+}
+
+// ppmFacesOracle is the modulo-indexed ppmFaces the padded one replaced,
+// kept as the bit-identity oracle.
+func ppmFacesOracle(a, aL, aR []float64) {
+	n := len(a)
+	at := func(i int) float64 { return a[((i%n)+n)%n] }
+	for i := 0; i < n; i++ {
+		face := (7.0/12.0)*(at(i)+at(i+1)) - (1.0/12.0)*(at(i-1)+at(i+2))
+		aR[i] = face
+		aL[(i+1)%n] = face
+	}
+	for i := 0; i < n; i++ {
+		ai := a[i]
+		l, r := aL[i], aR[i]
+		if (r-ai)*(ai-l) <= 0 {
+			l, r = ai, ai
+		} else {
+			d := r - l
+			mid := ai - 0.5*(l+r)
+			if d*mid > d*d/6 {
+				l = 3*ai - 2*r
+			}
+			if -d*d/6 > d*mid {
+				r = 3*ai - 2*l
+			}
+		}
+		aL[i], aR[i] = l, r
+	}
+}
+
+// sweep1DOracle is the allocating, modulo-wrapped sweep1D the scratch-
+// owning one replaced. It reads only the strip's four variables.
+func sweep1DOracle(s *state, dtdx float64) {
+	n := len(s.rho)
+	vars := [][]float64{s.rho, s.mu, s.mv, s.e}
+	faceL := make([][]float64, 4)
+	faceR := make([][]float64, 4)
+	for v := 0; v < 4; v++ {
+		faceL[v] = make([]float64, n)
+		faceR[v] = make([]float64, n)
+		ppmFacesOracle(vars[v], faceL[v], faceR[v])
+	}
+	fr := make([]float64, n)
+	fmu := make([]float64, n)
+	fmv := make([]float64, n)
+	fe := make([]float64, n)
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		rL := math.Max(faceR[0][i], 1e-12)
+		rR := math.Max(faceL[0][j], 1e-12)
+		fr[i], fmu[i], fmv[i], fe[i] = hll(
+			rL, faceR[1][i], faceR[2][i], math.Max(faceR[3][i], 1e-12),
+			rR, faceL[1][j], faceL[2][j], math.Max(faceL[3][j], 1e-12),
+		)
+	}
+	for i := 0; i < n; i++ {
+		im := (i - 1 + n) % n
+		s.rho[i] -= dtdx * (fr[i] - fr[im])
+		s.mu[i] -= dtdx * (fmu[i] - fmu[im])
+		s.mv[i] -= dtdx * (fmv[i] - fmv[im])
+		s.e[i] -= dtdx * (fe[i] - fe[im])
+	}
+}
+
+// stepOracle is Grid.Step with a fresh strip per row or column and the
+// oracle sweep.
+func stepOracle(g *Grid, dt float64) {
+	dx := 1.0 / float64(g.NX)
+	for y := 0; y < g.NY; y++ {
+		s := &state{rho: make([]float64, g.NX), mu: make([]float64, g.NX), mv: make([]float64, g.NX), e: make([]float64, g.NX)}
+		base := y * g.NX
+		for x := 0; x < g.NX; x++ {
+			s.rho[x], s.mu[x] = float64(g.Rho[base+x]), float64(g.MX[base+x])
+			s.mv[x], s.e[x] = float64(g.MY[base+x]), float64(g.E[base+x])
+		}
+		sweep1DOracle(s, dt/dx)
+		for x := 0; x < g.NX; x++ {
+			g.Rho[base+x], g.MX[base+x] = float32(s.rho[x]), float32(s.mu[x])
+			g.MY[base+x], g.E[base+x] = float32(s.mv[x]), float32(s.e[x])
+		}
+	}
+	dy := 1.0 / float64(g.NY)
+	for x := 0; x < g.NX; x++ {
+		s := &state{rho: make([]float64, g.NY), mu: make([]float64, g.NY), mv: make([]float64, g.NY), e: make([]float64, g.NY)}
+		for y := 0; y < g.NY; y++ {
+			i := g.idx(x, y)
+			s.rho[y], s.mu[y] = float64(g.Rho[i]), float64(g.MY[i])
+			s.mv[y], s.e[y] = float64(g.MX[i]), float64(g.E[i])
+		}
+		sweep1DOracle(s, dt/dy)
+		for y := 0; y < g.NY; y++ {
+			i := g.idx(x, y)
+			g.Rho[i], g.MY[i] = float32(s.rho[y]), float32(s.mu[y])
+			g.MX[i], g.E[i] = float32(s.mv[y]), float32(s.e[y])
+		}
+	}
+}
+
+// randomGrid builds an nx×ny grid (below NewGrid's minimum too) of random
+// positive-density, positive-pressure cells.
+func randomGrid(rng *rand.Rand, nx, ny int) *Grid {
+	n := nx * ny
+	g := &Grid{NX: nx, NY: ny, Rho: make([]float32, n), MX: make([]float32, n), MY: make([]float32, n), E: make([]float32, n)}
+	for y := 0; y < ny; y++ {
+		for x := 0; x < nx; x++ {
+			g.SetPrimitive(x, y, 0.2+2*rng.Float64(), rng.Float64()-0.5, rng.Float64()-0.5, 0.1+3*rng.Float64())
+		}
+	}
+	return g
+}
+
+func cloneGrid(g *Grid) *Grid {
+	return &Grid{
+		NX: g.NX, NY: g.NY,
+		Rho: append([]float32(nil), g.Rho...),
+		MX:  append([]float32(nil), g.MX...),
+		MY:  append([]float32(nil), g.MY...),
+		E:   append([]float32(nil), g.E...),
+	}
+}
+
+// TestStepMatchesOracle steps random grids, including the 1- and 2-cell
+// strips where a ghost cell wraps onto the strip itself, with Grid.Step
+// and with the oracle, and requires every stored float to match bit for
+// bit after every step.
+func TestStepMatchesOracle(t *testing.T) {
+	sizes := []int{1, 2, 3, 4, 7, 240, 480}
+	rng := rand.New(rand.NewSource(1))
+	for _, nx := range sizes {
+		for _, ny := range sizes {
+			t.Run(fmt.Sprintf("%dx%d", nx, ny), func(t *testing.T) {
+				g := randomGrid(rng, nx, ny)
+				want := cloneGrid(g)
+				steps := 4
+				if nx*ny > 10_000 {
+					steps = 2
+				}
+				for step := 0; step < steps; step++ {
+					dt := g.CFL(0.4)
+					g.Step(dt)
+					stepOracle(want, dt)
+					for _, f := range []struct {
+						name      string
+						got, want []float32
+					}{{"Rho", g.Rho, want.Rho}, {"MX", g.MX, want.MX}, {"MY", g.MY, want.MY}, {"E", g.E, want.E}} {
+						for i := range f.want {
+							if math.Float32bits(f.got[i]) != math.Float32bits(f.want[i]) {
+								t.Fatalf("step %d: %s[%d] = %v, oracle %v", step, f.name, i, f.got[i], f.want[i])
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStepAllocatesNothingWarm: once a grid has swept in both directions,
+// its strips hold all the scratch a step needs.
+func TestStepAllocatesNothingWarm(t *testing.T) {
+	g := NewGrid(64, 32)
+	g.InitBlast(0)
+	dt := g.CFL(0.4)
+	g.Step(dt)
+	if allocs := testing.AllocsPerRun(5, func() { g.Step(dt) }); allocs != 0 {
+		t.Fatalf("warm Step made %v allocations, want 0", allocs)
 	}
 }

@@ -12,6 +12,7 @@
 package buffercache
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
 	"sort"
@@ -46,7 +47,7 @@ type Stats struct {
 // buffer is one cached block.
 type buffer struct {
 	block  uint32
-	data   []byte
+	data   []byte // zeroBlock[:] until something writes into it; see own
 	valid  bool
 	dirty  bool
 	busy   bool // I/O in flight
@@ -76,6 +77,7 @@ type Cache struct {
 	idleClean    idleHeap   // non-busy clean buffers by recency
 	idleDirty    idleHeap   // non-busy dirty buffers by recency
 	dirty        int        // dirty buffers, busy or not
+	free         [][]byte   // blocks no buffer owns, for own to reuse
 	stats        Stats
 	readAhead    int
 	writeThrough bool
@@ -241,7 +243,7 @@ func (c *Cache) getOrCreate(p *sim.Proc, block uint32) (*buffer, error) {
 		c.evict(victim)
 	}
 	c.clock++
-	b := &buffer{block: block, data: make([]byte, BlockSize), stamp: c.clock, wq: sim.NewWaitQueue(c.e)}
+	b := &buffer{block: block, data: zeroBlock[:], stamp: c.clock, wq: sim.NewWaitQueue(c.e)}
 	b.elem = c.lru.PushFront(b)
 	c.blocks[block] = b
 	c.reindex(b)
@@ -263,6 +265,44 @@ var EvictDebug func(block uint32)
 // MissDebug, when set, observes read misses (test instrumentation).
 var MissDebug func(block uint32)
 
+// zeroBlock is the contents of every buffer that holds zeros and owns no
+// memory: new buffers, and blocks written with zeros, such as the inode
+// tables mkfs clears. Nothing writes into it.
+var zeroBlock [BlockSize]byte
+
+// own gives b a block of its own before anything writes into b.data,
+// recycled from the free list when one is there. A valid buffer keeps its
+// zeros; an invalid one gets stale bytes, which no caller sees: it stays
+// invalid until a read fills it (disk.ReadAt writes every byte) or
+// WriteBlock copies a whole block into it.
+func (c *Cache) own(b *buffer) {
+	if &b.data[0] != &zeroBlock[0] {
+		return
+	}
+	if n := len(c.free); n > 0 {
+		b.data = c.free[n-1]
+		c.free = c.free[:n-1]
+		if b.valid {
+			clear(b.data)
+		}
+	} else {
+		b.data = make([]byte, BlockSize)
+	}
+}
+
+// disown puts b's block on the free list and points b.data at zeroBlock.
+// b must be idle, so no I/O is in flight on its block.
+func (c *Cache) disown(b *buffer) {
+	if &b.data[0] != &zeroBlock[0] {
+		c.free = append(c.free, b.data)
+		b.data = zeroBlock[:]
+	}
+}
+
+// evict drops b from the cache and puts its block, if it owns one, on the
+// free list. b is idle, so no I/O is in flight on its data, and the only
+// aliases left are ReadBlock results, which callers drop before calling
+// the cache again.
 func (c *Cache) evict(b *buffer) {
 	if EvictDebug != nil {
 		EvictDebug(b.block)
@@ -273,6 +313,7 @@ func (c *Cache) evict(b *buffer) {
 	}
 	if cur, ok := c.blocks[b.block]; ok && cur == b {
 		delete(c.blocks, b.block)
+		c.disown(b)
 	}
 	c.stats.Evictions++
 	c.om.evictions.Inc()
@@ -308,8 +349,11 @@ func (c *Cache) flushBuffer(p *sim.Proc, b *buffer) error {
 }
 
 // ReadBlock returns the contents of a block, reading it from disk on a
-// miss. The returned slice aliases the cache buffer; callers must copy out
-// what they keep and must not retain it across sleeps.
+// miss. The returned slice is read-only (a block of zeros may be the shared
+// zeroBlock; UpdateBlock is the way to modify a block in place). It aliases
+// the cache buffer, whose memory another block reuses once the buffer is
+// evicted or rewritten with zeros: callers must copy out what they keep
+// before their next call into this cache.
 func (c *Cache) ReadBlock(p *sim.Proc, block uint32, origin trace.Origin) ([]byte, error) {
 	for {
 		b, err := c.getOrCreate(p, block)
@@ -335,6 +379,7 @@ func (c *Cache) ReadBlock(p *sim.Proc, block uint32, origin trace.Origin) ([]byt
 		}
 		c.stats.Misses++
 		c.om.misses.Inc()
+		c.own(b)
 		c.setBusy(b, true)
 		start := c.e.Now()
 		done, err := c.q.SubmitReq(block*SectorsPerBlock, b.data, false, origin, p.IOTag())
@@ -374,6 +419,7 @@ func (c *Cache) Prefetch(p *sim.Proc, blocks []uint32, origin trace.Origin) erro
 		if b.valid || b.busy {
 			continue
 		}
+		c.own(b)
 		c.setBusy(b, true)
 		req, start := p.IOTag(), c.e.Now()
 		done, err := c.q.SubmitReq(blk*SectorsPerBlock, b.data, false, origin, req)
@@ -391,7 +437,11 @@ func (c *Cache) Prefetch(p *sim.Proc, blocks []uint32, origin trace.Origin) erro
 				c.journal.Add(c.e.Now(), c.e.Now().Sub(start), iotrace.StageCacheMiss, req, int64(bb.block))
 			}
 			bb.wq.WakeAll()
-			if ioErr != nil && bb.elem != nil {
+			// Drop bb if it is still the block's resident buffer. The map
+			// check is the whole guard: a buffer is resident exactly while
+			// the map holds it (evict deletes the entry but leaves elem
+			// set), and bb, busy for the whole read, was not evicted.
+			if ioErr != nil {
 				if cur, ok := c.blocks[bb.block]; ok && cur == bb {
 					c.evict(bb)
 				}
@@ -416,7 +466,12 @@ func (c *Cache) WriteBlock(p *sim.Proc, block uint32, data []byte, origin trace.
 			b.wq.Sleep(p)
 			continue
 		}
-		copy(b.data, data)
+		if bytes.Equal(data, zeroBlock[:]) {
+			c.disown(b)
+		} else {
+			c.own(b)
+			copy(b.data, data)
+		}
 		b.valid = true
 		c.setDirty(b, true)
 		b.gen++
@@ -461,8 +516,7 @@ func (c *Cache) maybeWriteThrough(b *buffer) {
 // first if needed) and marks it dirty — the read-modify-write path for
 // partial-block writes and metadata updates.
 func (c *Cache) UpdateBlock(p *sim.Proc, block uint32, origin trace.Origin, fn func(data []byte)) error {
-	data, err := c.ReadBlock(p, block, origin)
-	if err != nil {
+	if _, err := c.ReadBlock(p, block, origin); err != nil {
 		return err
 	}
 	b := c.blocks[block]
@@ -470,7 +524,8 @@ func (c *Cache) UpdateBlock(p *sim.Proc, block uint32, origin trace.Origin, fn f
 		// ReadBlock always leaves the block resident; see getOrCreate.
 		panic(fmt.Sprintf("buffercache: block %d vanished after ReadBlock", block))
 	}
-	fn(data)
+	c.own(b)
+	fn(b.data)
 	c.setDirty(b, true)
 	b.gen++
 	b.origin = origin

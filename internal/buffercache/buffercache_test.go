@@ -497,8 +497,33 @@ func scanSyncVictim(c *Cache) *buffer {
 // checks its bookkeeping: every resident idle buffer is filed exactly
 // once, in the heap for its clean/dirty state, busy buffers are filed
 // nowhere, both heaps are ordered, and DirtyCount equals a walk of the
-// block map.
+// block map. It also checks the memory behind the buffers: owned and free
+// blocks together never exceed the capacity, no two of them are the same
+// memory, and the shared zeroBlock still holds zeros.
 func checkIndex(c *Cache) error {
+	if zeroBlock != [BlockSize]byte{} {
+		return fmt.Errorf("zeroBlock was written into")
+	}
+	seen := map[*byte]bool{}
+	for _, d := range c.free {
+		if len(d) != BlockSize || seen[&d[0]] || &d[0] == &zeroBlock[0] {
+			return fmt.Errorf("free list holds a %d-byte, repeated or shared block", len(d))
+		}
+		seen[&d[0]] = true
+	}
+	owned := 0
+	for _, b := range c.blocks {
+		if len(b.data) != BlockSize || seen[&b.data[0]] {
+			return fmt.Errorf("block %d: data is %d bytes or shared with another block", b.block, len(b.data))
+		}
+		if &b.data[0] != &zeroBlock[0] {
+			seen[&b.data[0]] = true
+			owned++
+		}
+	}
+	if owned+len(c.free) > c.capacity {
+		return fmt.Errorf("%d owned and %d free blocks exceed capacity %d", owned, len(c.free), c.capacity)
+	}
 	if got, want := c.findVictim(), scanVictim(c); got != want {
 		return fmt.Errorf("findVictim = %v, scan picks %v", blockOf(got), blockOf(want))
 	}
@@ -586,8 +611,11 @@ func monitor(e *sim.Engine, c *Cache, live *int, failed *error) {
 // TestVictimIndexMatchesScan drives seeded random mixes of every cache
 // operation from three processes, with I/O completions and injected
 // media errors landing in between, and checks the victim index against
-// the oracle scans after every step.
+// the oracle scans after every step. A shadow map of what each block
+// must hold checks every read, so a recycled block that surfaces stale
+// bytes fails.
 func TestVictimIndexMatchesScan(t *testing.T) {
+	var zero [BlockSize]byte
 	for seed := int64(1); seed <= 12; seed++ {
 		e := sim.NewEngine(seed)
 		d := disk.New(e, disk.DefaultParams())
@@ -598,17 +626,43 @@ func TestVictimIndexMatchesScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var failed error
 		live := 3
-		step := func(p *sim.Proc, i int) {
+		shadow := map[uint32][]byte{} // contents of every written block
+		want := func(blk uint32) []byte {
+			if d, ok := shadow[blk]; ok {
+				return d
+			}
+			return zero[:]
+		}
+		step := func(p *sim.Proc, i int) error {
 			blk := uint32(rng.Intn(40))
 			data := make([]byte, BlockSize)
 			data[0] = byte(i)
+			data[BlockSize-1] = byte(blk)
 			switch rng.Intn(12) {
 			case 0, 1, 2:
-				_, _ = c.ReadBlock(p, blk, trace.OriginData)
+				got, err := c.ReadBlock(p, blk, trace.OriginData)
+				if err == nil && !bytes.Equal(got, want(blk)) {
+					return fmt.Errorf("read of block %d does not return its last write", blk)
+				}
 			case 3, 4:
-				_ = c.WriteBlock(p, blk, data, trace.OriginData)
+				if rng.Intn(4) == 0 {
+					data = make([]byte, BlockSize) // shares zeroBlock
+				}
+				if c.WriteBlock(p, blk, data, trace.OriginData) == nil {
+					shadow[blk] = data
+				}
 			case 5:
-				_ = c.UpdateBlock(p, blk, trace.OriginMeta, func(b []byte) { b[1]++ })
+				var stale error
+				_ = c.UpdateBlock(p, blk, trace.OriginMeta, func(b []byte) {
+					if !bytes.Equal(b, want(blk)) {
+						stale = fmt.Errorf("update of block %d does not see its last write", blk)
+					}
+					b[1]++
+					shadow[blk] = append([]byte(nil), b...)
+				})
+				if stale != nil {
+					return stale
+				}
 			case 6:
 				run := []uint32{blk, blk + 1, blk + 2, blk + 3}
 				_ = c.Prefetch(p, run[:1+rng.Intn(4)], trace.OriginData)
@@ -633,12 +687,16 @@ func TestVictimIndexMatchesScan(t *testing.T) {
 					d.ClearBad()
 				}
 			}
+			return nil
 		}
 		for w := 0; w < live; w++ {
 			e.Spawn("worker", func(p *sim.Proc) {
 				defer func() { live-- }()
 				for i := 0; i < 400 && failed == nil; i++ {
-					step(p, i)
+					if err := step(p, i); err != nil {
+						failed = fmt.Errorf("step %d: %w", i, err)
+						return
+					}
 					if err := checkIndex(c); err != nil {
 						failed = fmt.Errorf("step %d: %w", i, err)
 						return
@@ -713,5 +771,154 @@ func TestVictimIndexFullDirtyCache(t *testing.T) {
 	}
 	if s := r.cache.Stats(); s.Evictions < 400-capacity {
 		t.Fatalf("%d evictions, want at least %d", s.Evictions, 400-capacity)
+	}
+}
+
+// TestNeverWrittenBlockReadsZero: a new buffer reuses the data of an
+// evicted one, so a block that was never written must still read as
+// zeros after heavy eviction of nonzero blocks and after failed reads
+// (a miss and a prefetch) that left the recycled bytes untouched.
+func TestNeverWrittenBlockReadsZero(t *testing.T) {
+	const capacity = 8
+	r := newRig(t, capacity)
+	var failed error
+	live := 1
+	monitor(r.e, r.cache, &live, &failed)
+	var zero [BlockSize]byte
+	r.run(t, func(p *sim.Proc) {
+		defer func() { live-- }()
+		fail := func(format string, args ...any) {
+			if failed == nil {
+				failed = fmt.Errorf(format, args...)
+			}
+		}
+		data := bytes.Repeat([]byte{0xA5}, BlockSize)
+		for blk := uint32(0); blk < 100; blk++ {
+			if err := r.cache.WriteBlock(p, blk, data, trace.OriginData); err != nil {
+				fail("write %d: %v", blk, err)
+				return
+			}
+		}
+		r.disk.MarkBad(500*SectorsPerBlock, 2*SectorsPerBlock)
+		if _, err := r.cache.ReadBlock(p, 500, trace.OriginData); err == nil {
+			fail("read of a bad block succeeded")
+			return
+		}
+		if err := r.cache.Prefetch(p, []uint32{501}, trace.OriginData); err != nil {
+			fail("prefetch: %v", err)
+			return
+		}
+		p.Sleep(sim.Second)
+		// The prefetch reused the block the failed miss freed, and its
+		// own failure freed it again, still holding old file bytes.
+		if n := len(r.cache.free); n != 1 || !bytes.Equal(r.cache.free[0], data) {
+			fail("free list holds %d blocks after two failed reads, want 1 holding the old 0xA5 bytes", n)
+			return
+		}
+		r.disk.ClearBad()
+		for _, blk := range []uint32{500, 501, 502} {
+			got, err := r.cache.ReadBlock(p, blk, trace.OriginData)
+			if err != nil || !bytes.Equal(got, zero[:]) {
+				fail("never-written block %d read back nonzero (err %v)", blk, err)
+				return
+			}
+		}
+		if err := r.cache.Sync(p); err != nil {
+			fail("sync: %v", err)
+			return
+		}
+		r.cache.InvalidateClean()
+		if len(r.cache.free) != capacity || r.cache.Len() != 0 {
+			fail("after InvalidateClean: %d free, %d resident; want %d and 0", len(r.cache.free), r.cache.Len(), capacity)
+		}
+	})
+	if failed == nil {
+		failed = checkIndex(r.cache)
+	}
+	if failed != nil {
+		t.Fatal(failed)
+	}
+}
+
+// TestZeroBlocksOwnNoMemory: blocks written with zeros, like the inode
+// tables mkfs clears, share zeroBlock instead of holding a block each. A
+// zero write returns a nonzero block's memory to the free list, and
+// UpdateBlock gives a zero block memory of its own before changing it.
+func TestZeroBlocksOwnNoMemory(t *testing.T) {
+	const capacity = 8
+	r := newRig(t, capacity)
+	var failed error
+	fail := func(format string, args ...any) {
+		if failed == nil {
+			failed = fmt.Errorf(format, args...)
+		}
+	}
+	owned := func() int {
+		n := 0
+		for _, b := range r.cache.blocks {
+			if &b.data[0] != &zeroBlock[0] {
+				n++
+			}
+		}
+		return n
+	}
+	r.run(t, func(p *sim.Proc) {
+		zeros := make([]byte, BlockSize)
+		for blk := uint32(0); blk < 100; blk++ {
+			if err := r.cache.WriteBlock(p, blk, zeros, trace.OriginMeta); err != nil {
+				fail("write %d: %v", blk, err)
+				return
+			}
+		}
+		if n := owned(); n != 0 || len(r.cache.free) != 0 {
+			fail("after 100 zero writes: %d owned, %d free blocks; want none", n, len(r.cache.free))
+			return
+		}
+		if err := r.cache.WriteBlock(p, 98, bytes.Repeat([]byte{0x3C}, BlockSize), trace.OriginData); err != nil {
+			fail("write 98: %v", err)
+			return
+		}
+		if err := r.cache.WriteBlock(p, 98, zeros, trace.OriginData); err != nil {
+			fail("rewrite 98: %v", err)
+			return
+		}
+		if n := owned(); n != 0 || len(r.cache.free) != 1 {
+			fail("after zeroing block 98: %d owned, %d free; want 0 and 1", n, len(r.cache.free))
+			return
+		}
+		// The update recycles block 98's old 0x3C bytes, so it must
+		// clear them before fn sees the block.
+		if err := r.cache.UpdateBlock(p, 99, trace.OriginMeta, func(b []byte) {
+			if !bytes.Equal(b, zeros) {
+				fail("update of a zero block sees nonzero bytes")
+			}
+			b[7] = 1
+		}); err != nil {
+			fail("update 99: %v", err)
+			return
+		}
+		want := make([]byte, BlockSize)
+		want[7] = 1
+		for pass := 0; pass < 2; pass++ {
+			for blk, w := range map[uint32][]byte{97: zeros, 98: zeros, 99: want} {
+				got, err := r.cache.ReadBlock(p, blk, trace.OriginData)
+				if err != nil || !bytes.Equal(got, w) {
+					fail("pass %d: block %d reads wrong (err %v)", pass, blk, err)
+					return
+				}
+			}
+			// Second pass: the same blocks read back from disk.
+			if err := r.cache.Sync(p); err != nil {
+				fail("sync: %v", err)
+				return
+			}
+			r.cache.InvalidateClean()
+		}
+		if err := checkIndex(r.cache); err != nil {
+			fail("%v", err)
+		}
+	})
+	if failed != nil {
+		t.Fatal(failed)
 	}
 }

@@ -81,6 +81,7 @@ type Disk struct {
 	p       Params
 	headCyl int
 	data    map[uint32][]byte // sector -> 512-byte content, never all zeros
+	last    []byte            // the content WriteAt stored most recently
 	bad     []badRange
 	stats   Stats
 	om      diskMetrics
@@ -296,7 +297,10 @@ var zeroSector [SectorSize]byte
 // WriteAt stores buf at the given sector; buf must be sector-aligned. An
 // all-zero sector is not stored (and drops what the sector held), since
 // ReadAt fills unstored sectors with zeros: mkfs zeroing inode tables then
-// costs no memory.
+// costs no memory. Stored contents are never modified, so a sector equal
+// to the one stored just before it shares that slice: the repeating
+// pattern of a program image, and the swap pages copied from it, then
+// cost one slice per run of equal sectors.
 func (d *Disk) WriteAt(sector uint32, buf []byte) error {
 	if len(buf)%SectorSize != 0 {
 		return fmt.Errorf("disk: write buffer %d not sector-aligned", len(buf))
@@ -311,12 +315,10 @@ func (d *Disk) WriteAt(sector uint32, buf []byte) error {
 			delete(d.data, sector+i)
 			continue
 		}
-		s, ok := d.data[sector+i]
-		if !ok {
-			s = make([]byte, SectorSize)
-			d.data[sector+i] = s
+		if !bytes.Equal(src, d.last) {
+			d.last = append([]byte(nil), src...)
 		}
-		copy(s, src)
+		d.data[sector+i] = d.last
 	}
 	return nil
 }

@@ -356,3 +356,47 @@ func TestBadSectorInjection(t *testing.T) {
 		t.Fatalf("cleared defect still fails: %v", err)
 	}
 }
+
+// TestRepeatedSectorsShareStorage: a run of equal sectors is stored once,
+// and overwriting one sector of the run leaves the others as they were.
+func TestRepeatedSectorsShareStorage(t *testing.T) {
+	_, d := newDisk(t)
+	pattern := make([]byte, SectorSize)
+	for i := range pattern {
+		pattern[i] = byte(i * 31)
+	}
+	run := bytes.Repeat(pattern, 64)
+	if err := d.WriteAt(100, run); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteAt(500, run[:8*SectorSize]); err != nil {
+		t.Fatal(err)
+	}
+	for s := range d.data {
+		if &d.data[s][0] != &d.data[100][0] {
+			t.Fatalf("sector %d holds its own copy of the repeated pattern", s)
+		}
+	}
+	other := bytes.Repeat([]byte{0x42}, SectorSize)
+	if err := d.WriteAt(131, other); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), run...)
+	copy(want[31*SectorSize:], other)
+	got := make([]byte, len(run))
+	if err := d.ReadAt(100, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("overwriting one sector of a shared run changed its neighbours")
+	}
+	if err := d.ReadAt(500, got[:8*SectorSize]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:8*SectorSize], run[:8*SectorSize]) {
+		t.Fatal("overwriting one sector changed another write's copy of the pattern")
+	}
+	if d.StoredSectors() != 72 {
+		t.Fatalf("StoredSectors = %d, want 72", d.StoredSectors())
+	}
+}
