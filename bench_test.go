@@ -434,6 +434,7 @@ func BenchmarkPPMStep240x480(b *testing.B) {
 
 func BenchmarkNBodyStep8K(b *testing.B) {
 	s := nbody.NewPlummer(8192, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step(0.01)

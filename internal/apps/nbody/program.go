@@ -125,10 +125,7 @@ func run(ctx *kernel.Process, pr Params, task *pvm.Task, group *pvm.Group, rank 
 			if end > pr.Particles {
 				end = pr.Particles
 			}
-			inter := 0
-			for j := i; j < end; j++ {
-				inter += sys.Force(j)
-			}
+			inter := sys.Forces(i, end)
 			if err := partArr.Touch(p, i, end, true); err != nil {
 				return err
 			}

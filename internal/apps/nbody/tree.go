@@ -10,6 +10,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
+
+	"essio/internal/apps/par"
 )
 
 // Particle is one body.
@@ -31,6 +34,10 @@ type System struct {
 	Interactions uint64
 
 	nodes []node
+	// forceChunk is forceRange bound to the system once, so a warm force
+	// pass allocates nothing; counted sums its chunks' interactions.
+	forceChunk func(worker, lo, hi int)
+	counted    atomic.Uint64
 }
 
 // node is one oct-tree cell in the array-allocated tree.
@@ -240,6 +247,43 @@ func accumulate(p *Particle, com [3]float64, mass, eps float64) {
 // Force computes the Barnes–Hut acceleration on particle pi, returning the
 // number of interactions evaluated.
 func (s *System) Force(pi int) int {
+	count := s.treeForce(pi)
+	s.Interactions += uint64(count)
+	return count
+}
+
+// forceGrain is how many particles make one chunk of the force pass.
+const forceGrain = 16
+
+// Forces computes the acceleration on particles [lo, hi), spread over
+// par.For's workers, and returns the interactions evaluated, which it also
+// adds to Interactions. A particle's walk reads only the tree and writes
+// only its own Acc, so every stored value equals Force's on each particle
+// in turn.
+func (s *System) Forces(lo, hi int) int {
+	if s.forceChunk == nil {
+		s.forceChunk = s.forceRange
+	}
+	s.counted.Store(0)
+	par.For(lo, hi, forceGrain, s.forceChunk)
+	count := s.counted.Load()
+	s.Interactions += count
+	return int(count)
+}
+
+// forceRange walks particles [lo, hi) and adds their interactions to
+// counted; integer addition makes the total independent of chunk order.
+func (s *System) forceRange(_, lo, hi int) {
+	count := 0
+	for i := lo; i < hi; i++ {
+		count += s.treeForce(i)
+	}
+	s.counted.Add(uint64(count))
+}
+
+// treeForce computes the Barnes–Hut acceleration on particle pi, writing
+// only its Acc, and returns the number of interactions evaluated.
+func (s *System) treeForce(pi int) int {
 	p := &s.Particles[pi]
 	p.Acc = [3]float64{}
 	count := 0
@@ -274,7 +318,6 @@ func (s *System) Force(pi int) int {
 		}
 	}
 	walk(0)
-	s.Interactions += uint64(count)
 	return count
 }
 
@@ -298,9 +341,7 @@ func (s *System) DirectForce(pi int) [3]float64 {
 func (s *System) Step(dt float64) uint64 {
 	before := s.Interactions
 	s.BuildTree()
-	for i := range s.Particles {
-		s.Force(i)
-	}
+	s.Forces(0, len(s.Particles))
 	for i := range s.Particles {
 		p := &s.Particles[i]
 		for d := 0; d < 3; d++ {

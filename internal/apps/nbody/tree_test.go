@@ -1,7 +1,9 @@
 package nbody
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -163,5 +165,69 @@ func TestSummaryFormat(t *testing.T) {
 	out := s.Summary(3)
 	if len(out) == 0 || out[len(out)-1] != '\n' {
 		t.Fatalf("summary = %q", out)
+	}
+}
+
+// stepOracle is Step with the serial per-particle Force loop the parallel
+// force pass replaced, kept as the bit-identity oracle.
+func stepOracle(s *System, dt float64) {
+	s.BuildTree()
+	for i := range s.Particles {
+		s.Force(i)
+	}
+	for i := range s.Particles {
+		p := &s.Particles[i]
+		for d := 0; d < 3; d++ {
+			p.Vel[d] += p.Acc[d] * dt
+			p.Pos[d] += p.Vel[d] * dt
+		}
+	}
+}
+
+// TestStepMatchesSerialOracle steps systems below, at and off a multiple
+// of the force grain with Step and with the oracle, at 1 and 2 workers,
+// and requires every particle's Pos, Vel and Acc to match bit for bit,
+// and Interactions exactly, after every step.
+func TestStepMatchesSerialOracle(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		for _, n := range []int{1, 2, forceGrain - 1, forceGrain, 5*forceGrain + 3, 1000} {
+			t.Run(fmt.Sprintf("procs%d/n%d", procs, n), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				got, want := NewPlummer(n, 11), NewPlummer(n, 11)
+				for step := 0; step < 4; step++ {
+					got.Step(0.01)
+					stepOracle(want, 0.01)
+					if got.Interactions != want.Interactions {
+						t.Fatalf("step %d: %d interactions, oracle %d", step, got.Interactions, want.Interactions)
+					}
+					for i := range want.Particles {
+						g, w := &got.Particles[i], &want.Particles[i]
+						for d := 0; d < 3; d++ {
+							for _, f := range []struct {
+								name      string
+								got, want float64
+							}{{"Pos", g.Pos[d], w.Pos[d]}, {"Vel", g.Vel[d], w.Vel[d]}, {"Acc", g.Acc[d], w.Acc[d]}} {
+								if math.Float64bits(f.got) != math.Float64bits(f.want) {
+									t.Fatalf("step %d: particle %d %s[%d] = %v, oracle %v", step, i, f.name, d, f.got, f.want)
+								}
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestForcesAllocatesNothingWarm: once a system has run one force pass,
+// the parallel pass reuses its bound chunk function and par.For's loop
+// state, so it adds no garbage per step.
+func TestForcesAllocatesNothingWarm(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := NewPlummer(1024, 3)
+	s.BuildTree()
+	s.Forces(0, len(s.Particles))
+	if allocs := testing.AllocsPerRun(5, func() { s.Forces(0, len(s.Particles)) }); allocs != 0 {
+		t.Fatalf("warm force pass made %v allocations, want 0", allocs)
 	}
 }

@@ -13,6 +13,8 @@ package ppm
 import (
 	"fmt"
 	"math"
+
+	"essio/internal/apps/par"
 )
 
 // Gamma is the ratio of specific heats for the ideal-gas law.
@@ -28,9 +30,15 @@ type Grid struct {
 	MY     []float32
 	E      []float32
 
-	// sx and sy are the X and Y sweeps' strips, made on first use and
-	// reused by every later sweep, so a warm Step allocates nothing.
-	sx, sy *state
+	// sx and sy hold each sweep worker's strip for the X and Y sweeps,
+	// made before the first sweep that needs them and reused by every
+	// later one, so a warm Step allocates nothing.
+	sx, sy []*state
+	// rows and cols are sweepRows and sweepCols bound to the grid once,
+	// for the same reason; dtdx is the running sweep's dt/dx, which they
+	// read.
+	rows, cols func(worker, lo, hi int)
+	dtdx       float64
 }
 
 // NewGrid allocates a grid.
@@ -308,14 +316,40 @@ func sweep1D(s *state, dtdx float64) {
 	}
 }
 
-// SweepX advances every row by dt.
+// sweepCells is the work, in cells, of one chunk of a sweep's rows or
+// columns: about 0.5 ms on a 2-vCPU Xeon host. A sweep over at most this
+// many cells runs on the calling goroutine alone.
+const sweepCells = 4096
+
+// sweepGrain is how many strips of n cells make one chunk.
+func sweepGrain(n int) int { return max(1, sweepCells/n) }
+
+// strips returns ss grown to hold a strip of n cells for each of workers
+// workers, making the missing ones.
+func strips(ss []*state, workers, n int) []*state {
+	for len(ss) < workers {
+		ss = append(ss, newState(n))
+	}
+	return ss
+}
+
+// SweepX advances every row by dt. Rows are independent, so they are
+// spread over par.For's workers, each sweeping with its own strip.
 func (g *Grid) SweepX(dt float64) {
 	dx := 1.0 / float64(g.NX)
-	if g.sx == nil {
-		g.sx = newState(g.NX)
+	grain := sweepGrain(g.NX)
+	g.sx = strips(g.sx, par.Workers(g.NY, grain), g.NX)
+	if g.rows == nil {
+		g.rows = g.sweepRows
 	}
-	s := g.sx
-	for y := 0; y < g.NY; y++ {
+	g.dtdx = dt / dx
+	par.For(0, g.NY, grain, g.rows)
+}
+
+// sweepRows sweeps rows [lo, hi) with worker w's strip.
+func (g *Grid) sweepRows(w, lo, hi int) {
+	s := g.sx[w]
+	for y := lo; y < hi; y++ {
 		base := y * g.NX
 		for x := 0; x < g.NX; x++ {
 			s.rho[x] = float64(g.Rho[base+x])
@@ -323,7 +357,7 @@ func (g *Grid) SweepX(dt float64) {
 			s.mv[x] = float64(g.MY[base+x])
 			s.e[x] = float64(g.E[base+x])
 		}
-		sweep1D(s, dt/dx)
+		sweep1D(s, g.dtdx)
 		for x := 0; x < g.NX; x++ {
 			g.Rho[base+x] = float32(s.rho[x])
 			g.MX[base+x] = float32(s.mu[x])
@@ -333,14 +367,25 @@ func (g *Grid) SweepX(dt float64) {
 	}
 }
 
-// SweepY advances every column by dt.
+// SweepY advances every column by dt, spread over workers like SweepX.
 func (g *Grid) SweepY(dt float64) {
 	dy := 1.0 / float64(g.NY)
-	if g.sy == nil {
-		g.sy = newState(g.NY)
+	// Whole 64-byte lines of float32s per chunk: workers writing
+	// neighbouring columns back would otherwise share a cache line in
+	// every row.
+	grain := (sweepGrain(g.NY) + 15) &^ 15
+	g.sy = strips(g.sy, par.Workers(g.NX, grain), g.NY)
+	if g.cols == nil {
+		g.cols = g.sweepCols
 	}
-	s := g.sy
-	for x := 0; x < g.NX; x++ {
+	g.dtdx = dt / dy
+	par.For(0, g.NX, grain, g.cols)
+}
+
+// sweepCols sweeps columns [lo, hi) with worker w's strip.
+func (g *Grid) sweepCols(w, lo, hi int) {
+	s := g.sy[w]
+	for x := lo; x < hi; x++ {
 		for y := 0; y < g.NY; y++ {
 			i := g.idx(x, y)
 			s.rho[y] = float64(g.Rho[i])
@@ -348,7 +393,7 @@ func (g *Grid) SweepY(dt float64) {
 			s.mv[y] = float64(g.MX[i])
 			s.e[y] = float64(g.E[i])
 		}
-		sweep1D(s, dt/dy)
+		sweep1D(s, g.dtdx)
 		for y := 0; y < g.NY; y++ {
 			i := g.idx(x, y)
 			g.Rho[i] = float32(s.rho[y])

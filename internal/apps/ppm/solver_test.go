@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -328,33 +329,39 @@ func cloneGrid(g *Grid) *Grid {
 // TestStepMatchesOracle steps random grids, including the 1- and 2-cell
 // strips where a ghost cell wraps onto the strip itself, with Grid.Step
 // and with the oracle, and requires every stored float to match bit for
-// bit after every step.
+// bit after every step. Each grid runs at 1 and at 2 workers; those with
+// a side of 128 or more sweep in several chunks.
 func TestStepMatchesOracle(t *testing.T) {
-	sizes := []int{1, 2, 3, 4, 7, 240, 480}
+	sizes := []int{1, 2, 3, 4, 7, 128, 240, 480}
 	rng := rand.New(rand.NewSource(1))
 	for _, nx := range sizes {
 		for _, ny := range sizes {
 			t.Run(fmt.Sprintf("%dx%d", nx, ny), func(t *testing.T) {
-				g := randomGrid(rng, nx, ny)
-				want := cloneGrid(g)
-				steps := 4
-				if nx*ny > 10_000 {
-					steps = 2
-				}
-				for step := 0; step < steps; step++ {
-					dt := g.CFL(0.4)
-					g.Step(dt)
-					stepOracle(want, dt)
-					for _, f := range []struct {
-						name      string
-						got, want []float32
-					}{{"Rho", g.Rho, want.Rho}, {"MX", g.MX, want.MX}, {"MY", g.MY, want.MY}, {"E", g.E, want.E}} {
-						for i := range f.want {
-							if math.Float32bits(f.got[i]) != math.Float32bits(f.want[i]) {
-								t.Fatalf("step %d: %s[%d] = %v, oracle %v", step, f.name, i, f.got[i], f.want[i])
+				start := randomGrid(rng, nx, ny)
+				for _, procs := range []int{1, 2} {
+					func() {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						g, want := cloneGrid(start), cloneGrid(start)
+						steps := 4
+						if nx*ny > 10_000 {
+							steps = 2
+						}
+						for step := 0; step < steps; step++ {
+							dt := g.CFL(0.4)
+							g.Step(dt)
+							stepOracle(want, dt)
+							for _, f := range []struct {
+								name      string
+								got, want []float32
+							}{{"Rho", g.Rho, want.Rho}, {"MX", g.MX, want.MX}, {"MY", g.MY, want.MY}, {"E", g.E, want.E}} {
+								for i := range f.want {
+									if math.Float32bits(f.got[i]) != math.Float32bits(f.want[i]) {
+										t.Fatalf("GOMAXPROCS=%d step %d: %s[%d] = %v, oracle %v", procs, step, f.name, i, f.got[i], f.want[i])
+									}
+								}
 							}
 						}
-					}
+					}()
 				}
 			})
 		}
@@ -370,5 +377,19 @@ func TestStepAllocatesNothingWarm(t *testing.T) {
 	g.Step(dt)
 	if allocs := testing.AllocsPerRun(5, func() { g.Step(dt) }); allocs != 0 {
 		t.Fatalf("warm Step made %v allocations, want 0", allocs)
+	}
+}
+
+// TestParallelStepAllocatesNothingWarm is TestStepAllocatesNothingWarm on
+// a grid that sweeps in several chunks at 2 workers: each worker's strip
+// is made before the sweep that first needs it.
+func TestParallelStepAllocatesNothingWarm(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := NewGrid(128, 128)
+	g.InitBlast(0)
+	dt := g.CFL(0.4)
+	g.Step(dt)
+	if allocs := testing.AllocsPerRun(5, func() { g.Step(dt) }); allocs != 0 {
+		t.Fatalf("warm parallel Step made %v allocations, want 0", allocs)
 	}
 }

@@ -80,11 +80,14 @@ type Disk struct {
 	e       *sim.Engine
 	p       Params
 	headCyl int
-	data    map[uint32][]byte // sector -> 512-byte content, never all zeros
-	last    []byte            // the content WriteAt stored most recently
-	bad     []badRange
-	stats   Stats
-	om      diskMetrics
+	// data maps a sector to its content, never all zeros. Contents are
+	// mostly shared, so the map itself is most of a disk's memory; an
+	// array pointer instead of a slice header halves each slot.
+	data  map[uint32]*[SectorSize]byte
+	last  *[SectorSize]byte // the content WriteAt stored most recently
+	bad   []badRange
+	stats Stats
+	om    diskMetrics
 }
 
 // diskMetrics holds the disk's observability handles; the zero value
@@ -126,7 +129,7 @@ func New(e *sim.Engine, p Params) *Disk {
 	if p.TransferRate <= 0 || p.RPM <= 0 {
 		panic("disk: invalid rates")
 	}
-	return &Disk{e: e, p: p, data: make(map[uint32][]byte)}
+	return &Disk{e: e, p: p, data: make(map[uint32]*[SectorSize]byte)}
 }
 
 // Params returns the drive parameters.
@@ -281,7 +284,7 @@ func (d *Disk) ReadAt(sector uint32, buf []byte) error {
 	for i := uint32(0); i < n; i++ {
 		dst := buf[i*SectorSize : (i+1)*SectorSize]
 		if src, ok := d.data[sector+i]; ok {
-			copy(dst, src)
+			copy(dst, src[:])
 		} else {
 			for j := range dst {
 				dst[j] = 0
@@ -298,9 +301,9 @@ var zeroSector [SectorSize]byte
 // all-zero sector is not stored (and drops what the sector held), since
 // ReadAt fills unstored sectors with zeros: mkfs zeroing inode tables then
 // costs no memory. Stored contents are never modified, so a sector equal
-// to the one stored just before it shares that slice: the repeating
+// to the one stored just before it shares that array: the repeating
 // pattern of a program image, and the swap pages copied from it, then
-// cost one slice per run of equal sectors.
+// cost one array per run of equal sectors.
 func (d *Disk) WriteAt(sector uint32, buf []byte) error {
 	if len(buf)%SectorSize != 0 {
 		return fmt.Errorf("disk: write buffer %d not sector-aligned", len(buf))
@@ -315,8 +318,9 @@ func (d *Disk) WriteAt(sector uint32, buf []byte) error {
 			delete(d.data, sector+i)
 			continue
 		}
-		if !bytes.Equal(src, d.last) {
-			d.last = append([]byte(nil), src...)
+		if d.last == nil || !bytes.Equal(src, d.last[:]) {
+			d.last = new([SectorSize]byte)
+			copy(d.last[:], src)
 		}
 		d.data[sector+i] = d.last
 	}

@@ -26,9 +26,12 @@ echo "gating on go vet + essvet" >&2
 go vet ./... || { echo "benchjson.sh: go vet failed, not benching" >&2; exit 1; }
 go run ./cmd/essvet ./... || { echo "benchjson.sh: essvet failed, not benching" >&2; exit 1; }
 
-micro='DiskService|ElevatorSubmit|TraceMarshal|EngineEvents|EngineStep|MergeBatch|MergeStreaming|MergeHeap|MergeLoserTree|CharacterizeParallel|CharacterizeStreaming|CharacterizeColumnar|CharacterizeObs|CharacterizeTrace|ColWrite|ColRead|ColMmap|BufferCacheHit|BufferCacheEvictDirty|BootNode|EthernetTransfer|PVMBarrier16|WaveletTransform512|PPMStep240x480|NBodyStep8K'
+micro='DiskService|ElevatorSubmit|TraceMarshal|EngineEvents|EngineStep|MergeBatch|MergeStreaming|MergeHeap|MergeLoserTree|CharacterizeParallel|CharacterizeStreaming|CharacterizeColumnar|CharacterizeObs|CharacterizeTrace|ColWrite|ColRead|ColMmap|BufferCacheHit|BufferCacheEvictDirty|BootNode|EthernetTransfer|PVMBarrier16|WaveletTransform512'
+# The data-parallel app kernels run at 1 and 2 CPUs, so the artifact holds
+# their serial and parallel times side by side.
+kernels='PPMStep240x480|NBodyStep8K'
 slow='E1Sharded'
-pattern=${1:-"$micro|$slow"}
+pattern=${1:-"$micro|$kernels|$slow"}
 out=${2:-}
 if [ -z "$out" ]; then
     # Never clobber an earlier artifact from the same day: each run's
@@ -52,10 +55,11 @@ if [ $# -ge 1 ]; then
     benchtime=$micro_benchtime
     go test -run '^$' -bench "$pattern" -benchtime "$benchtime" . ./internal/trace | tee "$raw" >&2
 else
-    # Default sweep: microbenchmarks at 100x for stable numbers, then the
-    # multi-second experiment benchmarks at 1x; awk folds both outputs
-    # into one artifact.
+    # Default sweep: microbenchmarks at 100x for stable numbers, the app
+    # kernels at 1 and 2 CPUs, then the multi-second experiment
+    # benchmarks at 1x; awk folds the outputs into one artifact.
     go test -run '^$' -bench "$micro" -benchtime "$micro_benchtime" . ./internal/trace | tee "$raw" >&2
+    go test -run '^$' -bench "$kernels" -cpu 1,2 -benchtime "$micro_benchtime" . | tee -a "$raw" >&2
     go test -run '^$' -bench "$slow" -benchtime "$slow_benchtime" . | tee -a "$raw" >&2
 fi
 
@@ -76,9 +80,14 @@ BEGIN {
 /^Benchmark/ && NF >= 4 {
     name = $1
     sub(/^Benchmark/, "", name)
-    sub(/-[0-9]+$/, "", name)
+    # go test appends -N to a name run at GOMAXPROCS N > 1.
+    procs = 1
+    if (match(name, /-[0-9]+$/)) {
+        procs = substr(name, RSTART + 1)
+        name = substr(name, 1, RSTART - 1)
+    }
     if (n++) printf ","
-    printf "\n    {\"name\": \"%s\", \"iterations\": %s, \"metrics\": {", esc(name), $2
+    printf "\n    {\"name\": \"%s\", \"procs\": %s, \"iterations\": %s, \"metrics\": {", esc(name), procs, $2
     m = 0
     for (i = 3; i + 1 <= NF; i += 2) {
         if (m++) printf ", "
